@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .errors import (
     OutOfRange,
     ParameterDomain,
 )
+
+_T = TypeVar("_T")
 
 KIND_DIFFERENCE = "builtin-difference"
 KIND_JS = "builtin-jagannathan-srinivasa"
@@ -147,13 +149,28 @@ class DeformedContext:
     index); ``log_factorials[n]`` holds log of the deformed factorial of n,
     with ``log_factorials[0] == 0.0``.  The factorial cache is accumulated in
     ascending n so the telescoping recurrence holds bit-for-bit as stored.
-    Instances are safe to share across threads.
+    Quantities derived from these caches are computed on first use and kept
+    (see :meth:`derived`).  Instances are safe to share across threads.
     """
 
     spec: KernelSpec
     order_cap: int
     log_numbers: np.ndarray
     log_factorials: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, key: str, compute: Callable[["DeformedContext"], _T]) -> _T:
+        """``compute(self)``, evaluated on the first call for ``key`` and kept.
+
+        A ``compute`` that raises stores nothing, so the error repeats on
+        every call.  Concurrent first calls may each compute the value; any
+        of the identical results is kept.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute(self)
+            return value
 
     def log_number(self, n: int) -> float:
         """log R(p^n, q^n) for 1 <= n <= order_cap."""

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DomainError,
@@ -31,7 +32,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .kernel import KIND_DIFFERENCE, DeformedContext
-from .series import MODE_COMPOSITE, TruncatedSeries, eval_on_circle, r_derivative
+from .series import TruncatedSeries, _composite_multiplier, circle_points, eval_on_circle
 
 LOG_ZERO = float("-inf")
 
@@ -42,6 +43,9 @@ OPNORM_REL_TOL = 1e-9
 
 DEFAULT_TAIL_WINDOW = 32
 DEFAULT_CIRCLE_SAMPLES = 256
+
+#: elements per temporary of one batch of opnorm trials (draws or circle values)
+_TRIAL_BLOCK_ELEMENTS = 1 << 15
 
 MODE_DEFORMED = "deformed"      # tail exponents weighted by 1/[k]!
 MODE_CLASSICAL = "classical"    # plain |a_k|^(1/k)
@@ -143,9 +147,18 @@ def log_weighted_norm(ctx: DeformedContext, f: TruncatedSeries, r: float) -> flo
 
 
 def weighted_norm(ctx: DeformedContext, f: TruncatedSeries, r: float) -> float:
-    """||f||_{R,r} in linear domain (0.0 for constants and the zero series)."""
+    """||f||_{R,r} in linear domain (0.0 for constants and the zero series).
+
+    A norm beyond double range reads ``math.inf``; :func:`log_weighted_norm`
+    still holds its finite logarithm.
+    """
     lv = log_weighted_norm(ctx, f, r)
-    return 0.0 if lv == LOG_ZERO else math.exp(lv)
+    if lv == LOG_ZERO:
+        return 0.0
+    try:
+        return math.exp(lv)
+    except OverflowError:
+        return math.inf
 
 
 def coefficient_bound_check(
@@ -264,6 +277,11 @@ def seminorm(
     return math.exp(float(np.max(exponents)))
 
 
+def _trial_block(order: int, samples: int) -> int:
+    """Opnorm trials per batch, so no temporary exceeds ~_TRIAL_BLOCK_ELEMENTS."""
+    return max(1, _TRIAL_BLOCK_ELEMENTS // max(samples, 2 * (order + 1)))
+
+
 def operator_norm_inequality_check(
     ctx: DeformedContext,
     r: float,
@@ -279,8 +297,11 @@ def operator_norm_inequality_check(
 
     over ``trials`` random complex polynomials of the given order (derivative
     in composite mode).  Requires the difference kernel and p*r/rho < 1;
-    relative tolerance 1e-9.  The trial loop is sequential, so the worst
-    margin is reduced in a fixed order for any seed.
+    relative tolerance 1e-9.  Trial t's coefficients are the t-th pair of
+    ``order + 1`` standard normals (real parts, then imaginary) drawn from
+    ``default_rng(seed)``; trials are drawn and evaluated in batches from that
+    one stream, and the witness is the first trial attaining the worst
+    margin, so a report depends only on its arguments.
     """
     if ctx.spec.kind != KIND_DIFFERENCE:
         raise PreconditionViolated(
@@ -299,23 +320,29 @@ def operator_norm_inequality_check(
         raise OutOfRange(f"order={order} outside [1, {ctx.order_cap}]")
 
     constant = 1.0 / (rho * (1.0 - contraction))
+    mult = np.array([_composite_multiplier(ctx, n) for n in range(1, order + 1)])
+    f_points = circle_points(rho, samples)
+    df_points = circle_points(r, samples)
+    block = _trial_block(order, samples)
     rng = np.random.default_rng(seed)
     passed = True
     worst_margin = math.inf
     witness = ""
-    for trial in range(trials):
-        coeffs = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
-        f = TruncatedSeries(coeffs)
-        df = r_derivative(ctx, f, MODE_COMPOSITE)
-        sup_f = float(np.max(np.abs(eval_on_circle(f, rho, samples))))
-        sup_df = float(np.max(np.abs(eval_on_circle(df, r, samples))))
+    for start in range(0, trials, block):
+        draws = rng.standard_normal((min(block, trials - start), 2, order + 1))
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        sup_f = np.max(np.abs(npoly.polyval(f_points, coeffs.T)), axis=1)
+        sup_df = np.max(np.abs(npoly.polyval(df_points, (coeffs[:, 1:] * mult).T)), axis=1)
         bound = constant * sup_f
-        margin = bound - sup_df
-        if margin < worst_margin:
-            worst_margin = margin
-            witness = f"trial={trial}"
-        if sup_df > bound * (1.0 + OPNORM_REL_TOL):
+        if np.any(sup_df > bound * (1.0 + OPNORM_REL_TOL)):
             passed = False
+        # NaN margins (inf - inf) never count as the worst.
+        margins = bound - sup_df
+        margins[np.isnan(margins)] = math.inf
+        i = int(np.argmin(margins))
+        if margins[i] < worst_margin:
+            worst_margin = float(margins[i])
+            witness = f"trial={start + i}"
     return BoundCheckReport(
         passed=passed,
         worst_margin=worst_margin,

@@ -103,13 +103,17 @@ def eval_series(f: TruncatedSeries, z: complex) -> complex:
     return complex(npoly.polyval(z, f.coeffs))
 
 
-def eval_on_circle(f: TruncatedSeries, radius: float, count: int) -> np.ndarray:
-    """Values of f at ``count`` equispaced points of the circle |z| = radius."""
+def circle_points(radius: float, count: int) -> np.ndarray:
+    """``count`` equispaced points of the circle |z| = radius, from angle 0."""
     if count < 1:
         raise OutOfRange(f"need at least one sample point, got {count}")
     angles = 2.0 * np.pi * np.arange(count) / count
-    points = radius * np.exp(1j * angles)
-    return npoly.polyval(points, f.coeffs)
+    return radius * np.exp(1j * angles)
+
+
+def eval_on_circle(f: TruncatedSeries, radius: float, count: int) -> np.ndarray:
+    """Values of f at the :func:`circle_points` of |z| = radius."""
+    return npoly.polyval(circle_points(radius, count), f.coeffs)
 
 
 def scale_op(f: TruncatedSeries, base: float) -> TruncatedSeries:

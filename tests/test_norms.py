@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -33,8 +34,12 @@ from rpqcalc.norms import (
     LOG_ZERO,
     MODE_CLASSICAL,
     MODE_DEFORMED,
+    OPNORM_REL_TOL,
+    BoundCheckReport,
+    _trial_block,
     log_weighted_norm,
 )
+from rpqcalc.series import MODE_COMPOSITE, eval_on_circle, r_derivative
 
 
 def diff_ctx(cap=64):
@@ -84,6 +89,18 @@ def test_weighted_norm_validation():
         weighted_norm(ctx, TruncatedSeries([0.0, 1.0]), -2.0)
     with pytest.raises(OutOfRange):
         weighted_norm(ctx, TruncatedSeries(np.ones(6)), 1.0)
+
+
+def test_weighted_norm_beyond_double_range_reads_inf():
+    ctx = diff_ctx()
+    f = TruncatedSeries([0.0, 1.0, 0.5, 0.25])
+    log_norm = log_weighted_norm(ctx, f, 1e200)
+    assert math.isfinite(log_norm) and log_norm > math.log(1.7976931348623157e308)
+    assert weighted_norm(ctx, f, 1e200) == math.inf
+    # just inside double range the linear value is still exact
+    assert weighted_norm(ctx, f, 1e100) == pytest.approx(
+        math.exp(log_weighted_norm(ctx, f, 1e100)), rel=1e-15
+    )
 
 
 def test_norm_params_validation():
@@ -290,6 +307,61 @@ def test_operator_norm_check_preconditions():
         operator_norm_inequality_check(ctx, 0.4, 0.8, 0, 8)
     with pytest.raises(OutOfRange):
         operator_norm_inequality_check(ctx, 0.4, 0.8, 10, 17)
+
+
+def sequential_opnorm_report(ctx, r, rho, trials, order, seed, samples):
+    """Reference: one trial at a time, two draws each, a running minimum."""
+    constant = 1.0 / (rho * (1.0 - ctx.spec.p * r / rho))
+    rng = np.random.default_rng(seed)
+    passed, worst_margin, witness = True, math.inf, ""
+    for trial in range(trials):
+        coeffs = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+        f = TruncatedSeries(coeffs)
+        df = r_derivative(ctx, f, MODE_COMPOSITE)
+        sup_f = float(np.max(np.abs(eval_on_circle(f, rho, samples))))
+        sup_df = float(np.max(np.abs(eval_on_circle(df, r, samples))))
+        bound = constant * sup_f
+        margin = bound - sup_df
+        if margin < worst_margin:
+            worst_margin, witness = margin, f"trial={trial}"
+        if sup_df > bound * (1.0 + OPNORM_REL_TOL):
+            passed = False
+    report = BoundCheckReport(passed, worst_margin, witness, trials, details={"constant": constant})
+    return report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "order, samples, seed, r, rho",
+    [(1, 256, 0, 0.4, 0.8), (16, 100, 1, 0.3, 0.5), (32, 128, 2, 0.9, 1.0), (16, 256, 3, 1.5, 2.0)],
+)
+def test_operator_norm_batches_match_sequential_trials(order, samples, seed, r, rho):
+    ctx = diff_ctx(cap=64)
+    block = _trial_block(order, samples)
+    for trials in (1, block - 1, block, block + 1, 1000):
+        got = operator_norm_inequality_check(ctx, r, rho, trials, order, seed, samples)
+        assert got.to_dict() == sequential_opnorm_report(ctx, r, rho, trials, order, seed, samples)
+
+
+def test_operator_norm_failures_match_sequential_trials():
+    # one or two points per circle under-estimate sup |f|, so some trials fail
+    ctx = build_context(difference_kernel(0.9, 0.5), 64)
+    for r, rho, order, samples in ((0.01, 3.0, 2, 1), (0.1, 2.0, 3, 1), (0.2, 1.0, 1, 1)):
+        args = (ctx, r, rho, 300, order, 5, samples)
+        got = operator_norm_inequality_check(*args)
+        assert not got.passed
+        assert got.to_dict() == sequential_opnorm_report(*args)
+
+
+def test_operator_norm_memory_is_bounded():
+    ctx = diff_ctx(cap=64)
+    tracemalloc.start()
+    try:
+        report = operator_norm_inequality_check(ctx, 0.4, 0.8, 20_000, 16, seed=0, samples=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.trials == 20_000
+    assert peak < 64 * 2**20  # one trial-by-sample array would be 80 MB
 
 
 def test_report_to_dict_shape():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ from rpqcalc.errors import (
     OutOfRange,
     PreconditionViolated,
 )
+from rpqcalc import sectors
 from rpqcalc.sectors import (
+    BC_ABS_TOL,
+    BC_INCONCLUSIVE_FRACTION,
     MODE_FIXED_OMEGA,
     MODE_PER_INDEX,
     MODE_SUP,
@@ -50,6 +54,10 @@ def diff_ctx(cap=64):
 
 def inv_ctx(cap=64):
     return build_context(laurent_kernel(0.8, 0.5, INVERSE_TERMS), cap)
+
+
+def js_ctx(cap=64):
+    return build_context(jagannathan_srinivasa_kernel(0.9, 0.4), cap)
 
 
 def midpoint_fracs(count):
@@ -82,6 +90,44 @@ def test_pseudonorm_is_monotone_in_magnitude():
     mags = np.linspace(0.01, 10.0, 40)
     vals = [deformed_pseudonorm(ctx, m) for m in mags]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_pseudonorm_matches_scalar_definition():
+    rng = np.random.default_rng(4)
+    zs = np.exp(rng.uniform(-30.0, 30.0, 200)) * np.exp(1j * rng.uniform(-4.0, 4.0, 200))
+    # add |z| >= 1, where the lattice part dominates, whose array logarithm
+    # is an ulp off math.log (if this numpy build has any)
+    mags = np.exp(rng.uniform(0.0, 30.0, 400_000))
+    off = mags[np.log(mags) != np.array([math.log(m) for m in mags])]
+    zs = np.concatenate([zs, off, -1j * off])
+    for ctx in (diff_ctx(), js_ctx(), inv_ctx(), diff_ctx(cap=4096)):
+        ns = np.arange(1, ctx.order_cap + 1, dtype=float)
+        tail = math.exp(-tail_log_rate(ctx))
+        for z in zs:
+            lattice = float(np.max(np.exp((math.log(abs(z)) - ctx.log_numbers) / ns)))
+            assert deformed_pseudonorm(ctx, z) == max(lattice, tail)
+
+
+def test_tail_fit_runs_once_per_context(monkeypatch):
+    calls = []
+    fit = sectors.fit_log_growth
+    monkeypatch.setattr(
+        sectors, "fit_log_growth", lambda ctx, window: calls.append(ctx) or fit(ctx, window)
+    )
+    ctxs = [diff_ctx(), js_ctx(), inv_ctx(), diff_ctx(cap=2)]
+    assert calls == []  # build_context never fits the tail
+    f = TruncatedSeries([0.5, 1.0])
+    for ctx in ctxs[:3]:
+        for _ in range(3):
+            deformed_pseudonorm(ctx, 0.3 + 0.4j)
+            in_deformed_disc(ctx, 0.3, 2.0)
+            borel_caratheodory_check(ctx, f, 4.0, 3.0, 4)
+    assert calls == ctxs[:3]
+    for _ in range(3):  # failures are not kept: each call raises afresh
+        with pytest.raises(OutOfRange):
+            deformed_pseudonorm(ctxs[3], 0.5)
+        with pytest.raises(OutOfRange):
+            tail_log_rate(ctxs[3])
 
 
 def test_disc_membership_examples():
@@ -147,6 +193,64 @@ def test_borel_caratheodory_preconditions():
     # radius 0.5 holds nothing but the origin
     with pytest.raises(EmptyDisc):
         borel_caratheodory_check(inv_ctx(), f, 0.7, 0.5)
+
+
+def per_point_bc_report(ctx, f, outer, inner, samples):
+    """Reference BC: each grid point is kept by deformed_pseudonorm alone."""
+    ns = np.arange(1, ctx.order_cap + 1, dtype=float)
+    polyval = np.polynomial.polynomial.polyval
+
+    def polar_points(disc_radius):
+        reach = math.exp(float(np.min(ns * math.log(disc_radius) + ctx.log_numbers)))
+        radii = reach * (np.arange(samples) + 0.5) / samples
+        angles = 2.0 * np.pi * np.arange(samples) / samples
+        flat = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        keep = np.array([deformed_pseudonorm(ctx, z) < disc_radius for z in flat], dtype=bool)
+        return np.concatenate([[0.0 + 0.0j], flat[keep]])
+
+    max_re = float(np.max(polyval(polar_points(outer), f.coeffs).real))
+    ratio = 1.0 / (outer - inner)
+    bound = 2.0 * inner * ratio * max_re + (outer + inner) * ratio * abs(complex(f.coeffs[0]))
+    inner_pts = polar_points(inner)
+    inner_vals = np.abs(polyval(inner_pts, f.coeffs))
+    worst = int(np.argmax(inner_vals))
+    excess = float(inner_vals[worst]) - bound
+    passed = excess <= BC_ABS_TOL
+    return {
+        "passed": passed,
+        "worst_margin": bound - float(inner_vals[worst]),
+        "witness": f"z={complex(inner_pts[worst])!r}",
+        "trials": int(inner_pts.size),
+        "inconclusive": (not passed) and excess <= BC_INCONCLUSIVE_FRACTION * abs(max_re),
+        "details": {"max_re": max_re, "bound": bound},
+    }
+
+
+@pytest.mark.parametrize("make_ctx", [diff_ctx, js_ctx, inv_ctx])
+@pytest.mark.parametrize("side", [2, 17, 64])
+def test_borel_caratheodory_matches_per_point_mask(make_ctx, side):
+    ctx = make_ctx()
+    tail = math.exp(-tail_log_rate(ctx))
+    rng = np.random.default_rng(side)
+    coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    coeffs[0] = coeffs[0].real
+    for f in (deformed_exponential(ctx, 24), TruncatedSeries(coeffs)):
+        for outer, inner in ((3.0 * tail, 2.0 * tail), (1.3 * tail, 1.1 * tail)):
+            got = borel_caratheodory_check(ctx, f, outer, inner, side)
+            assert got.to_dict() == per_point_bc_report(ctx, f, outer, inner, side)
+
+
+def test_borel_caratheodory_memory_is_bounded():
+    ctx = diff_ctx(cap=16384)
+    f = deformed_exponential(ctx, 24)
+    tracemalloc.start()
+    try:
+        report = borel_caratheodory_check(ctx, f, 3.0, 2.0, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.trials == 64 * 64 + 1
+    assert peak < 64 * 2**20  # one point-by-cache array would be 512 MB
 
 
 def test_sector_membership_fixed_omega():
