@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .errors import (
     OutOfRange,
     ParameterDomain,
 )
-
-_T = TypeVar("_T")
 
 KIND_DIFFERENCE = "builtin-difference"
 KIND_JS = "builtin-jagannathan-srinivasa"
@@ -143,34 +141,23 @@ def _validate_parameters(spec: KernelSpec) -> None:
 
 @dataclass(frozen=True)
 class DeformedContext:
-    """Validated kernel plus log-domain caches, immutable after construction.
+    """Validated kernel plus log-domain caches.
 
     ``log_numbers[i]`` holds log R(p^n, q^n) for n = i + 1 (1-based lattice
     index); ``log_factorials[n]`` holds log of the deformed factorial of n,
     with ``log_factorials[0] == 0.0``.  The factorial cache is accumulated in
     ascending n so the telescoping recurrence holds bit-for-bit as stored.
-    Quantities derived from these caches are computed on first use and kept
-    (see :meth:`derived`).  Instances are safe to share across threads.
+    The fields are immutable after construction; the only mutable state is
+    the private ``_memo``, where :func:`rpqcalc.sectors.tail_log_rate` keeps
+    its fitted value on first use.  Instances are safe to share across
+    threads.
     """
 
     spec: KernelSpec
     order_cap: int
     log_numbers: np.ndarray
     log_factorials: np.ndarray
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def derived(self, key: str, compute: Callable[["DeformedContext"], _T]) -> _T:
-        """``compute(self)``, evaluated on the first call for ``key`` and kept.
-
-        A ``compute`` that raises stores nothing, so the error repeats on
-        every call.  Concurrent first calls may each compute the value; any
-        of the identical results is kept.
-        """
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = compute(self)
-            return value
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def log_number(self, n: int) -> float:
         """log R(p^n, q^n) for 1 <= n <= order_cap."""

@@ -55,9 +55,6 @@ BC_ABS_TOL = 1e-9
 BC_INCONCLUSIVE_FRACTION = 0.01
 PL_REL_TOL = 1e-6
 
-#: elements per temporary of the array pseudo-norm, whatever the cache size
-_PSEUDONORM_CHUNK_ELEMENTS = 1 << 15
-
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -107,40 +104,25 @@ def _default_tail_window(ctx: DeformedContext) -> tuple[int, int]:
 def tail_log_rate(ctx: DeformedContext) -> float:
     """Fitted slope beta_hat of the log lattice values over the upper half cache.
 
-    The fit runs on the first call for a context and is kept on it.
+    The fit runs on the first call for a context and is kept on it; a fit
+    that raises keeps nothing, so the error repeats on every call.
     """
-    return ctx.derived(
-        "tail_log_rate", lambda c: fit_log_growth(c, _default_tail_window(c)).beta_hat
-    )
-
-
-def _lattice_parts(ctx: DeformedContext, log_mags: np.ndarray) -> np.ndarray:
-    """max_n exp((log|z| - log R(p^n, q^n)) / n) for each entry of ``log_mags``."""
-    ns = np.arange(1, ctx.order_cap + 1, dtype=float)
-    return np.exp((log_mags[:, None] - ctx.log_numbers) / ns).max(axis=1)
+    try:
+        return ctx._memo["tail_log_rate"]
+    except KeyError:
+        beta = fit_log_growth(ctx, _default_tail_window(ctx)).beta_hat
+        ctx._memo["tail_log_rate"] = beta
+        return beta
 
 
 def _pseudonorm_given_tail(ctx: DeformedContext, z: complex, tail: float) -> float:
     mag = abs(z)
     if mag == 0.0:
         return 0.0
-    # math.log, not np.log: the two differ by an ulp on a few inputs.
-    lattice_part = float(_lattice_parts(ctx, np.array([math.log(mag)]))[0])
+    log_mag = math.log(mag)
+    ns = np.arange(1, ctx.order_cap + 1, dtype=float)
+    lattice_part = float(np.max(np.exp((log_mag - ctx.log_numbers) / ns)))
     return max(lattice_part, tail)
-
-
-def _pseudonorms_given_tail(ctx: DeformedContext, mags: np.ndarray, tail: float) -> np.ndarray:
-    """Array form of :func:`_pseudonorm_given_tail` over magnitudes |z|.
-
-    Points are taken in chunks, so temporaries stay bounded for any cache size.
-    """
-    out = np.zeros(mags.shape)
-    nonzero = np.flatnonzero(mags)
-    rows = max(1, _PSEUDONORM_CHUNK_ELEMENTS // ctx.order_cap)
-    for start in range(0, nonzero.size, rows):
-        idx = nonzero[start : start + rows]
-        out[idx] = np.maximum(_lattice_parts(ctx, np.log(mags[idx])), tail)
-    return out
 
 
 def deformed_pseudonorm(ctx: DeformedContext, z: complex) -> float:
@@ -173,9 +155,10 @@ def borel_caratheodory_check(
         |f(z)| <= 2r/(R - r) * max Re f  +  (R + r)/(R - r) * |f(0)|
 
     for ||z|| < r, with max Re f sampled over ||z|| < R on a ``samples`` x
-    ``samples`` polar grid.  Each disc's grid is masked by one array
-    evaluation of the pseudo-norm over its points.  Because the sampled
-    max Re f is an under-estimate, a violation within 1% of it is reported
+    ``samples`` polar grid.  Each disc's grid stops half a radial step inside
+    the disc's Euclidean reach, so every finite grid point lies in the disc
+    and no pseudo-norm is evaluated per point.  Because the sampled max Re f
+    is an under-estimate, a violation within 1% of it is reported
     inconclusive; conclusive failure needs an excess above the absolute
     tolerance 1e-9.
 
@@ -207,12 +190,10 @@ def borel_caratheodory_check(
         radii = reach * (np.arange(samples) + 0.5) / samples
         angles = 2.0 * np.pi * np.arange(samples) / samples
         flat = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        # np.hypot is bitwise abs(z); np.abs on complex arrays is not.  The
-        # grid stops half a radial step inside the disc's reach, so an ulp
-        # from np.log cannot move a point across the boundary.
-        mags = np.hypot(flat.real, flat.imag)
-        keep = _pseudonorms_given_tail(ctx, mags, tail) < disc_radius
-        return np.concatenate([[0.0 + 0.0j], flat[keep]])
+        # No pseudo-norm mask needed: |z| < reach = min_n radius^n R(p^n, q^n)
+        # puts every lattice term below radius, and tail < radius by the
+        # EmptyDisc check.  Only points whose radius overflowed lie outside.
+        return np.concatenate([[0.0 + 0.0j], flat[np.isfinite(flat)]])
 
     outer_pts = polar_points(outer_radius)
     outer_vals = np.polynomial.polynomial.polyval(outer_pts, f.coeffs)
