@@ -24,7 +24,6 @@ from .kernel import (
     difference_kernel,
     jagannathan_srinivasa_kernel,
     kernel_value,
-    lattice_log_value,
     laurent_kernel,
     q_kernel,
     spec_from_dict,
@@ -38,7 +37,6 @@ from .numbers import (
 )
 from .norms import (
     BoundCheckReport,
-    NormParams,
     SeminormFamily,
     cauchy_hadamard_radius,
     coefficient_bound_check,
@@ -86,7 +84,6 @@ __all__ = [
     "GrowthEnvelope",
     "KernelSpec",
     "LogQuantity",
-    "NormParams",
     "RpqError",
     "SectorSpec",
     "SeminormFamily",
@@ -113,7 +110,6 @@ __all__ = [
     "invert_P_minus_Q",
     "jagannathan_srinivasa_kernel",
     "kernel_value",
-    "lattice_log_value",
     "laurent_kernel",
     "operator_norm_inequality_check",
     "pl_interior_check",

@@ -117,9 +117,8 @@ def _cmd_stirling(args) -> int:
     print("k,z_k,gamma_log,log_lattice_k,D_k")
     for i, k in enumerate(range(diag.k_window[0], diag.k_window[1] + 1)):
         z_k = args.slope * k + args.offset
-        glog = gamma.gamma_log(cfg, z_k)
         print(
-            f"{k},{_fmt(z_k)},{_fmt(glog)},{_fmt(ctx.log_number(k))},"
+            f"{k},{_fmt(z_k)},{_fmt(diag.gamma_logs[i])},{_fmt(ctx.log_number(k))},"
             f"{_fmt(diag.residuals[i])}"
         )
     print(f"# stabilized={str(diag.stabilized).lower()} c_estimate={_fmt(diag.c_estimate)}")
@@ -174,7 +173,6 @@ def _cmd_check_coef(args) -> int:
 def _cmd_check_sup(args) -> int:
     ctx = _load_context(args)
     f = _load_series(args.series)
-    norms.NormParams(r=args.rho, rho=args.r)  # validates 0 < rho_eval < r
     return _report_exit(
         norms.sup_disk_bound_check(ctx, f, args.r, args.rho, args.samples)
     )

@@ -40,7 +40,7 @@ from .errors import (
     NonPositiveShiftedLattice,
     OutOfRange,
 )
-from .kernel import DeformedContext, shifted_lattice_value
+from .kernel import DeformedContext, kernel_value
 
 BASE_INTERPOLATED = "interpolated"
 BASE_INTEGER_ONLY = "integer-only"
@@ -63,7 +63,8 @@ class GammaConfig:
 
 def _log_shifted(cfg: GammaConfig, x: float) -> float:
     """log R(p^x, q^x) with positivity checked at every evaluation."""
-    val = shifted_lattice_value(cfg.context.spec, x)
+    spec = cfg.context.spec
+    val = kernel_value(spec, spec.p**x, spec.q**x)
     if not math.isfinite(val) or val <= 0.0:
         raise NonPositiveShiftedLattice(
             f"shifted lattice value R(p^x, q^x) at x={x!r} is {val!r}"
@@ -116,7 +117,11 @@ def recurrence_check(cfg: GammaConfig, x: float) -> float:
 
 @dataclass(frozen=True)
 class StirlingDiagnostic:
-    """Residual report for the Stirling-type growth form along z_k = slope*k + offset."""
+    """Residual report for the Stirling-type growth form along z_k = slope*k + offset.
+
+    ``gamma_logs[i]`` and ``residuals[i]`` hold gamma_log(z_k) and D_k for
+    k = k_window[0] + i.
+    """
 
     slope: float
     offset: float
@@ -124,6 +129,7 @@ class StirlingDiagnostic:
     residuals: np.ndarray
     stabilized: bool
     c_estimate: float
+    gamma_logs: np.ndarray
 
 
 #: relative flatness threshold for declaring the residual sequence stabilised
@@ -152,12 +158,9 @@ def stirling_diagnostic(
             f"window {k_window!r} outside lattice cache [1, {cfg.context.order_cap}]"
         )
 
-    ks = np.arange(k_lo, k_hi + 1)
-    residuals = np.empty(ks.size, dtype=float)
-    for i, k in enumerate(ks):
-        z_k = slope * float(k) + offset
-        comparator = (z_k - 0.5) * cfg.context.log_number(int(k)) - z_k
-        residuals[i] = gamma_log(cfg, z_k) - comparator
+    z = slope * np.arange(k_lo, k_hi + 1, dtype=float) + offset
+    gamma_logs = np.array([gamma_log(cfg, z_k) for z_k in z])
+    residuals = gamma_logs - ((z - 0.5) * cfg.context.log_numbers[k_lo - 1 : k_hi] - z)
 
     upper = residuals[residuals.size // 2 :]
     spread = float(np.max(upper) - np.min(upper))
@@ -166,6 +169,7 @@ def stirling_diagnostic(
     c_estimate = float(np.exp(np.mean(upper)))
 
     residuals.setflags(write=False)
+    gamma_logs.setflags(write=False)
     return StirlingDiagnostic(
         slope=float(slope),
         offset=float(offset),
@@ -173,4 +177,5 @@ def stirling_diagnostic(
         residuals=residuals,
         stabilized=stabilized,
         c_estimate=c_estimate,
+        gamma_logs=gamma_logs,
     )

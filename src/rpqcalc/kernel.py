@@ -52,6 +52,16 @@ _ALL_KINDS = _BUILTIN_KINDS + (KIND_CUSTOM,)
 VANISHING_TOL = 1e-12
 
 
+def _exponent(value) -> int:
+    """A Laurent exponent: an integer, or a float with an integer value."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidKernel(f"Laurent exponent must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Immutable description of a deformation kernel.
@@ -78,7 +88,8 @@ class KernelSpec:
             if self.laurent_terms is None:
                 raise InvalidKernel("custom-laurent kernel requires laurent_terms")
             terms = tuple(
-                (int(s), int(t), float(c)) for (s, t, c) in self.laurent_terms
+                (_exponent(s), _exponent(t), float(c))
+                for (s, t, c) in self.laurent_terms
             )
             object.__setattr__(self, "laurent_terms", terms)
             ell = 0
@@ -145,8 +156,10 @@ class DeformedContext:
 
     ``log_numbers[i]`` holds log R(p^n, q^n) for n = i + 1 (1-based lattice
     index); ``log_factorials[n]`` holds log of the deformed factorial of n,
-    with ``log_factorials[0] == 0.0``.  The factorial cache is accumulated in
-    ascending n so the telescoping recurrence holds bit-for-bit as stored.
+    with ``log_factorials[0] == 0.0``.  Every context is made by
+    :meth:`from_log_values`, whose ascending ``np.cumsum`` makes the
+    telescoping recurrence hold bit-for-bit as stored.  Downstream code reads
+    these two arrays as slices rather than index by index.
     The fields are immutable after construction; the only mutable state is
     the private ``_memo``, where :func:`rpqcalc.sectors.tail_log_rate` keeps
     its fitted value on first use.  Instances are safe to share across
@@ -177,25 +190,22 @@ class DeformedContext:
     def from_log_values(
         cls, spec: KernelSpec, log_numbers: Sequence[float]
     ) -> "DeformedContext":
-        """Build a context from externally supplied log lattice values.
+        """Build a context from log lattice values log R(p^n, q^n), n = 1..cap.
 
-        Intended for synthetic growth profiles in diagnostics and tests; the
-        factorial cache is accumulated by the same ascending recurrence used
-        by :func:`build_context`.
+        :func:`build_context` ends here, and synthetic growth profiles in
+        diagnostics and tests start here.  The factorials are the ascending
+        ``np.cumsum`` of the logs, so ``log_factorials[n]`` equals
+        ``log_factorials[n - 1] + log_numbers[n - 1]`` exactly.
         """
         logs = np.asarray(log_numbers, dtype=float)
         if logs.ndim != 1 or logs.size < 1:
             raise OutOfRange("log_numbers must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(logs)):
             raise NonPositiveLattice(int(np.flatnonzero(~np.isfinite(logs))[0]) + 1, math.nan)
-        cap = logs.size
-        facts = np.empty(cap + 1, dtype=float)
-        facts[0] = 0.0
-        for n in range(1, cap + 1):
-            facts[n] = facts[n - 1] + logs[n - 1]
+        facts = np.concatenate(([0.0], np.cumsum(logs)))
         logs.setflags(write=False)
         facts.setflags(write=False)
-        return cls(spec=spec, order_cap=cap, log_numbers=logs, log_factorials=facts)
+        return cls(spec=spec, order_cap=logs.size, log_numbers=logs, log_factorials=facts)
 
 
 def build_context(spec: KernelSpec, order_cap: int) -> DeformedContext:
@@ -227,28 +237,7 @@ def build_context(spec: KernelSpec, order_cap: int) -> DeformedContext:
         if not math.isfinite(val) or val <= 0.0:
             raise NonPositiveLattice(n, val)
         logs[n - 1] = math.log(val)
-
-    facts = np.empty(order_cap + 1, dtype=float)
-    facts[0] = 0.0
-    # Ascending accumulation; tests rely on the stored recurrence being exact.
-    for n in range(1, order_cap + 1):
-        facts[n] = facts[n - 1] + logs[n - 1]
-
-    logs.setflags(write=False)
-    facts.setflags(write=False)
-    return DeformedContext(
-        spec=spec, order_cap=order_cap, log_numbers=logs, log_factorials=facts
-    )
-
-
-def lattice_log_value(ctx: DeformedContext, n: int) -> float:
-    """Cached log R(p^n, q^n) for 1 <= n <= order_cap."""
-    return ctx.log_number(n)
-
-
-def shifted_lattice_value(spec: KernelSpec, x: float) -> float:
-    """R(p^x, q^x) for real x, evaluated directly (no cache)."""
-    return kernel_value(spec, spec.p**x, spec.q**x)
+    return DeformedContext.from_log_values(spec, logs)
 
 
 def bidisk_radius_estimate(spec: KernelSpec) -> tuple[float, float]:
@@ -330,9 +319,7 @@ def spec_from_dict(doc: dict) -> KernelSpec:
         if not isinstance(raw, list):
             raise InvalidKernel("'laurent' must be a list of term objects")
         try:
-            terms = tuple(
-                (int(t["s"]), int(t["t"]), float(t["c"])) for t in raw
-            )
+            terms = tuple((t["s"], t["t"], float(t["c"])) for t in raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidKernel(f"bad laurent term: {exc}") from exc
         return KernelSpec(p=p, q=q, kind=KIND_CUSTOM, laurent_terms=terms)

@@ -32,7 +32,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .kernel import KIND_DIFFERENCE, DeformedContext
-from .series import TruncatedSeries, _composite_multiplier, circle_points, eval_on_circle
+from .series import MODE_COMPOSITE, TruncatedSeries, _multipliers, circle_points, eval_on_circle
 
 LOG_ZERO = float("-inf")
 
@@ -50,22 +50,6 @@ _TRIAL_BLOCK_ELEMENTS = 1 << 15
 MODE_DEFORMED = "deformed"      # tail exponents weighted by 1/[k]!
 MODE_CLASSICAL = "classical"    # plain |a_k|^(1/k)
 RADIUS_MODES = (MODE_DEFORMED, MODE_CLASSICAL)
-
-
-@dataclass(frozen=True)
-class NormParams:
-    """Radius bundle: weight radius r, optional comparison radius rho > r."""
-
-    r: float
-    rho: float | None = None
-
-    def __post_init__(self):
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise DomainError(f"radius r must be positive and finite, got {self.r!r}")
-        if self.rho is not None and not (self.rho > self.r and math.isfinite(self.rho)):
-            raise DomainError(
-                f"comparison radius must exceed r={self.r!r}, got {self.rho!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -320,7 +304,7 @@ def operator_norm_inequality_check(
         raise OutOfRange(f"order={order} outside [1, {ctx.order_cap}]")
 
     constant = 1.0 / (rho * (1.0 - contraction))
-    mult = np.array([_composite_multiplier(ctx, n) for n in range(1, order + 1)])
+    mult = _multipliers(ctx, order, MODE_COMPOSITE)
     f_points = circle_points(rho, samples)
     df_points = circle_points(r, samples)
     block = _trial_block(order, samples)

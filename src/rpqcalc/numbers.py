@@ -52,8 +52,13 @@ class LogQuantity:
         return cls(log_value=math.log(value), zero_flag=False)
 
     def value(self) -> float:
-        """Linear-domain value; may overflow to inf for huge logs."""
-        return 0.0 if self.zero_flag else math.exp(self.log_value)
+        """Linear-domain value; ``math.inf`` beyond double range."""
+        if self.zero_flag:
+            return 0.0
+        try:
+            return math.exp(self.log_value)
+        except OverflowError:
+            return math.inf
 
     def __mul__(self, other: "LogQuantity") -> "LogQuantity":
         if self.zero_flag or other.zero_flag:

@@ -16,11 +16,13 @@ maps on monomials:
 * ``invert_P_minus_Q``: diagonal inverse a_n / (p^n - q^n), defined only on
   series with (numerically) vanishing constant term.
 * ``r_multiplier_op``: z^n -> [n] z^n (annihilates constants since [0] = 0).
+
+Multipliers and 1/[n]! are read as slices of the context's cached logs; a
+value beyond double range raises :class:`OutOfRange`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,30 +126,42 @@ def scale_op(f: TruncatedSeries, base: float) -> TruncatedSeries:
     return TruncatedSeries(f.coeffs * factors)
 
 
+def _power_gaps(p: float, q: float, order: int) -> np.ndarray:
+    """p^n - q^n for n = 1..order."""
+    n = np.arange(1, order + 1, dtype=float)
+    return np.power(p, n) - np.power(q, n)
+
+
 def pq_derivative(f: TruncatedSeries, p: float, q: float) -> TruncatedSeries:
     """Two-parameter divided difference: z^n -> ((p^n - q^n)/(p - q)) z^(n-1)."""
     if p == q:
         raise DegenerateParameters("pq-derivative needs p != q")
     if f.order == 0:
         return TruncatedSeries(np.zeros(1, dtype=complex))
-    n = np.arange(1, f.coeffs.size, dtype=float)
-    mult = (np.power(p, n) - np.power(q, n)) / (p - q)
-    return TruncatedSeries(f.coeffs[1:] * mult)
+    return TruncatedSeries(f.coeffs[1:] * (_power_gaps(p, q, f.order) / (p - q)))
 
 
-def _composite_multiplier(ctx: DeformedContext, n: int) -> float:
-    """Degree-n multiplier of the composite kernel derivative (n >= 1)."""
-    p, q = ctx.spec.p, ctx.spec.q
-    if n == 1:
-        # The general formula is 0/0 at n = 1; the operator's value on z is
-        # pinned to [1], matching the canonical convention.
-        return math.exp(ctx.log_number(1))
-    prev = math.exp(ctx.log_number(n - 1))
-    return prev * (p**n - q**n) / (p ** (n - 1) - q ** (n - 1))
+def _multipliers(ctx: DeformedContext, order: int, mode: str) -> np.ndarray:
+    """Multipliers of the kernel derivative (``mode``) for degrees 1..order.
 
+    Canonical: [n].  Composite: [n-1] (p^n - q^n) / (p^(n-1) - q^(n-1)), with
+    the degree-1 multiplier pinned to [1] (the general formula is 0/0 there).
 
-def _canonical_multiplier(ctx: DeformedContext, n: int) -> float:
-    return math.exp(ctx.log_number(n))
+    Raises:
+        OutOfRange: a multiplier is not finite in double precision.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mult = np.exp(ctx.log_numbers[:order])
+        if mode == MODE_COMPOSITE:
+            gaps = _power_gaps(ctx.spec.p, ctx.spec.q, order)
+            mult = np.concatenate((mult[:1], mult[:-1] * gaps[1:] / gaps[:-1]))
+    bad = ~np.isfinite(mult)
+    if np.any(bad):
+        raise OutOfRange(
+            f"{mode} multiplier of degree {int(np.argmax(bad)) + 1} "
+            "is beyond double range"
+        )
+    return mult
 
 
 def r_derivative(
@@ -162,9 +176,7 @@ def r_derivative(
         )
     if f.order == 0:
         return TruncatedSeries(np.zeros(1, dtype=complex))
-    pick = _composite_multiplier if mode == MODE_COMPOSITE else _canonical_multiplier
-    mult = np.array([pick(ctx, n) for n in range(1, f.order + 1)])
-    return TruncatedSeries(f.coeffs[1:] * mult)
+    return TruncatedSeries(f.coeffs[1:] * _multipliers(ctx, f.order, mode))
 
 
 def invert_P_minus_Q(
@@ -184,9 +196,7 @@ def invert_P_minus_Q(
             f"constant term magnitude {a0:.3e} exceeds {CONSTANT_TERM_TOL}"
         )
     out = np.zeros(f.coeffs.size, dtype=complex)
-    if f.coeffs.size > 1:
-        n = np.arange(1, f.coeffs.size, dtype=float)
-        out[1:] = f.coeffs[1:] / (np.power(p, n) - np.power(q, n))
+    out[1:] = f.coeffs[1:] / _power_gaps(p, q, f.order)
     return TruncatedSeries(out)
 
 
@@ -197,18 +207,27 @@ def r_multiplier_op(ctx: DeformedContext, f: TruncatedSeries) -> TruncatedSeries
             f"series order {f.order} exceeds order_cap {ctx.order_cap}"
         )
     out = np.zeros(f.coeffs.size, dtype=complex)
-    for n in range(1, f.coeffs.size):
-        out[n] = f.coeffs[n] * math.exp(ctx.log_number(n))
+    out[1:] = f.coeffs[1:] * _multipliers(ctx, f.order, MODE_CANONICAL)
     return TruncatedSeries(out)
 
 
 def deformed_exponential(ctx: DeformedContext, order: int) -> TruncatedSeries:
-    """Truncation of the deformed exponential: coefficients 1/[n]!."""
+    """Truncation of the deformed exponential: coefficients 1/[n]!.
+
+    A 1/[n]! beyond double range raises :class:`OutOfRange` naming the
+    largest order whose coefficients all fit.
+    """
     if not 0 <= order <= ctx.order_cap:
         raise OutOfRange(f"order={order} outside [0, {ctx.order_cap}]")
-    coeffs = np.array(
-        [math.exp(-ctx.log_factorial(n)) for n in range(order + 1)], dtype=complex
-    )
+    with np.errstate(over="ignore"):
+        coeffs = np.exp(-ctx.log_factorials[: order + 1])
+    bad = np.isinf(coeffs)
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        raise OutOfRange(
+            f"1/[{n}]! is beyond double range; the largest representable "
+            f"order is {n - 1}"
+        )
     return TruncatedSeries(coeffs)
 
 
@@ -220,4 +239,7 @@ def algebra_diagnostic(ctx: DeformedContext, n: int) -> tuple[float, float]:
     """
     if not 1 <= n <= ctx.order_cap:
         raise OutOfRange(f"n={n} outside [1, {ctx.order_cap}]")
-    return (_composite_multiplier(ctx, n), _canonical_multiplier(ctx, n))
+    return (
+        float(_multipliers(ctx, n, MODE_COMPOSITE)[-1]),
+        float(_multipliers(ctx, n, MODE_CANONICAL)[-1]),
+    )

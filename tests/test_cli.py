@@ -75,6 +75,19 @@ def test_numbers_table(workdir, capsys):
     assert float(row3[2]) == pytest.approx(0.328125, rel=1e-12)
 
 
+def test_numbers_table_beyond_double_range_prints_inf(workdir, capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["numbers", "--kernel", workdir["inv"], "--order-cap", "256", "--n", "190..200"],
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(190, 201))
+    assert all(row[2] == "inf" for row in rows)
+    assert all(math.isfinite(float(row[1])) for row in rows)
+
+
 def test_gamma_table_matches_library(workdir, capsys):
     code, out, _ = run_cli(
         capsys, ["gamma", "--kernel", workdir["js"], "--x", "2.5", "4"]
@@ -115,6 +128,11 @@ def test_stirling_table_reports_drift(workdir, capsys):
     assert lines[0] == "k,z_k,gamma_log,log_lattice_k,D_k"
     assert len(lines) == 33  # header + 31 rows + summary
     assert lines[-1].startswith("# stabilized=false c_estimate=")
+    cfg = GammaConfig(build_context(difference_kernel(1.0, 0.5), 64))
+    for line in lines[1:-1]:
+        k, z_k, glog = line.split(",")[:3]
+        assert float(z_k) == float(k) + 1.0
+        assert float(glog) == gamma_log(cfg, float(z_k))
 
 
 def test_fit_json_matches_library(workdir, capsys):

@@ -126,6 +126,19 @@ def test_stirling_difference_kernel_drifts():
     assert diag.c_estimate == pytest.approx(float(np.exp(upper.mean())), rel=1e-13)
 
 
+@pytest.mark.parametrize("spec", KERNELS)
+def test_stirling_carries_its_gamma_logs(spec):
+    cfg = GammaConfig(build_context(spec, 64))
+    slope, offset = 1.25, 0.3
+    diag = stirling_diagnostic(cfg, slope, offset, (3, 40))
+    assert diag.gamma_logs.shape == diag.residuals.shape == (38,)
+    for i, k in enumerate(range(3, 41)):
+        z_k = slope * k + offset
+        assert diag.gamma_logs[i] == gamma_log(cfg, z_k)
+        comparator = (z_k - 0.5) * cfg.context.log_number(k) - z_k
+        assert diag.residuals[i] == gamma_log(cfg, z_k) - comparator
+
+
 def test_stirling_stabilises_on_injected_classical_factorials():
     # inject log [n] = log n: then log Gamma(k+1) = log k! and
     # D_k = log k! - (k + 1/2) log k + (k + 1) -> log sqrt(2 pi) + 1

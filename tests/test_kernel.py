@@ -16,7 +16,6 @@ from rpqcalc import (
     difference_kernel,
     jagannathan_srinivasa_kernel,
     kernel_value,
-    lattice_log_value,
     laurent_kernel,
     q_kernel,
     spec_from_dict,
@@ -38,7 +37,7 @@ def test_difference_lattice_values_match_exact_oracle():
     # 1 - 2^-n is a dyadic rational, so the float path is exact before the log
     expected = [F(1, 2), F(3, 4), F(7, 8), F(15, 16)]
     for n, frac in enumerate(expected, start=1):
-        assert lattice_log_value(ctx, n) == math.log(float(frac))
+        assert ctx.log_number(n) == math.log(float(frac))
 
 
 def test_custom_inverse_kernel_example_value():
@@ -88,6 +87,24 @@ def test_factorial_cache_recurrence_is_exact_as_stored(p, q):
             )
 
 
+@pytest.mark.parametrize("cap", [1, 2, 4096])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        difference_kernel(1.0, 0.5),
+        jagannathan_srinivasa_kernel(0.9, 0.4),
+        q_kernel(0.3),
+        laurent_kernel(1.0, 0.5, [(2, 0, 1.0), (1, 1, -2.0), (0, 2, 1.0)]),
+    ],
+)
+def test_factorial_cache_equals_ascending_loop(spec, cap):
+    ctx = build_context(spec, cap)
+    facts = [0.0]
+    for log_n in ctx.log_numbers:
+        facts.append(facts[-1] + float(log_n))
+    assert np.array_equal(ctx.log_factorials, np.array(facts))
+
+
 def test_vanishing_at_one_tolerance_boundary():
     terms = [(1, 0, 1.0), (0, 1, -1.0), (0, 0, 5e-13)]
     build_context(laurent_kernel(0.9, 0.5, terms), 4)  # within 1e-12: accepted
@@ -133,9 +150,9 @@ def test_order_cap_and_index_bounds():
         build_context(difference_kernel(1.0, 0.5), 0)
     ctx = build_context(difference_kernel(1.0, 0.5), 4)
     with pytest.raises(OutOfRange):
-        lattice_log_value(ctx, 0)
+        ctx.log_number(0)
     with pytest.raises(OutOfRange):
-        lattice_log_value(ctx, 5)
+        ctx.log_number(5)
 
 
 def test_caches_are_immutable():
@@ -219,9 +236,19 @@ def test_config_document_roundtrip():
         {"p": 1.0, "q": 0.5, "kernel": {}},
         {"p": 1.0, "q": 0.5, "kernel": {"builtin": "unknown"}},
         {"p": 1.0, "q": 0.5, "kernel": {"laurent": [{"s": 1}]}},
+        {"p": 0.8, "q": 0.5, "kernel": {"laurent": [{"s": -1.5, "t": 0, "c": 1.0}]}},
         "not a mapping",
     ],
 )
 def test_config_document_rejects_malformed(doc):
     with pytest.raises(InvalidKernel):
         spec_from_dict(doc)
+
+
+def test_laurent_exponents_must_be_integers():
+    doc = {"p": 0.8, "q": 0.5, "kernel": {"laurent": [
+        {"s": -1.0, "t": 0, "c": 1.0}, {"s": 0, "t": 1, "c": -1.0}]}}
+    assert spec_from_dict(doc).laurent_terms == ((-1, 0, 1.0), (0, 1, -1.0))
+    for bad in (0.5, float("nan"), float("inf"), "x"):
+        with pytest.raises(InvalidKernel):
+            laurent_kernel(0.8, 0.5, [(1, bad, 1.0)])

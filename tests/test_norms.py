@@ -11,7 +11,6 @@ import pytest
 
 import oracles as O
 from rpqcalc import (
-    NormParams,
     SeminormFamily,
     TruncatedSeries,
     build_context,
@@ -101,17 +100,6 @@ def test_weighted_norm_beyond_double_range_reads_inf():
     assert weighted_norm(ctx, f, 1e100) == pytest.approx(
         math.exp(log_weighted_norm(ctx, f, 1e100)), rel=1e-15
     )
-
-
-def test_norm_params_validation():
-    NormParams(r=0.5)
-    NormParams(r=0.5, rho=0.8)
-    with pytest.raises(DomainError):
-        NormParams(r=0.0)
-    with pytest.raises(DomainError):
-        NormParams(r=0.5, rho=0.5)
-    with pytest.raises(DomainError):
-        NormParams(r=0.5, rho=0.2)
 
 
 def test_coefficient_bound_single_monomial_is_tight():

@@ -17,6 +17,7 @@ from rpqcalc import (
     deformed_number,
     difference_kernel,
     jagannathan_srinivasa_kernel,
+    laurent_kernel,
     q_kernel,
 )
 from rpqcalc.errors import DomainError, OutOfRange
@@ -53,6 +54,10 @@ class TestLogQuantity:
         assert (z * a).zero_flag
         prod = a * LogQuantity.from_value(3.0)
         assert prod.value() == pytest.approx(6.0, rel=1e-15)
+
+    def test_value_beyond_double_range_reads_inf(self):
+        assert LogQuantity.from_log(710.0).value() == math.inf
+        assert LogQuantity.from_log(709.0).value() == math.exp(709.0)
 
     def test_division_by_zero_raises(self):
         a = LogQuantity.from_value(2.0)
@@ -170,3 +175,11 @@ def test_domain_and_range_errors():
         deformed_binomial(ctx, 4, -1)
     with pytest.raises(OutOfRange):
         deformed_binomial(ctx, 9, 2)
+
+
+def test_factorial_beyond_double_range_reads_inf():
+    inv = laurent_kernel(0.8, 0.5, [(-1, 0, 1.0), (0, 1, -1.0)])
+    ctx = build_context(inv, 256)
+    fact = deformed_factorial(ctx, 200)
+    assert fact.log_value > 710.0
+    assert fact.value() == math.inf

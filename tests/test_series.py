@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import oracles as O
 from rpqcalc import (
     MODE_CANONICAL,
     MODE_COMPOSITE,
+    DeformedContext,
     TruncatedSeries,
     algebra_diagnostic,
     build_context,
@@ -268,3 +271,62 @@ def test_order_cap_enforcement():
         r_multiplier_op(ctx, f)
     with pytest.raises(OutOfRange):
         deformed_exponential(ctx, 5)
+
+
+SQUARE_TERMS = [(2, 0, 1.0), (1, 1, -2.0), (0, 2, 1.0)]  # (u - v)^2
+
+
+@pytest.mark.parametrize(
+    "spec, terms",
+    [
+        (difference_kernel(0.9, 0.4), O.difference_terms()),
+        (jagannathan_srinivasa_kernel(0.9, 0.4), O.js_terms(F(0.9), F(0.4))),
+        (laurent_kernel(1.0, 0.5, SQUARE_TERMS), [(s, t, F(c)) for s, t, c in SQUARE_TERMS]),
+    ],
+)
+def test_multipliers_match_exact_oracle_at_every_degree(spec, terms):
+    # the derivative of sum_n z^n carries the degree-n multiplier at z^(n-1)
+    cap = 64
+    ctx = build_context(spec, cap)
+    p, q = F(spec.p), F(spec.q)
+    ones = TruncatedSeries(np.ones(cap + 1))
+    comp = r_derivative(ctx, ones, MODE_COMPOSITE).coeffs
+    canon = r_derivative(ctx, ones, MODE_CANONICAL).coeffs
+    lattice = r_multiplier_op(ctx, ones).coeffs
+    assert np.array_equal(lattice[1:], canon)
+    for n in range(1, cap + 1):
+        want_comp = float(O.frac_composite_multiplier(terms, p, q, n))
+        want_canon = float(O.frac_lattice(terms, p, q, n))
+        assert comp[n - 1].real == pytest.approx(want_comp, rel=1e-12)
+        assert canon[n - 1].real == pytest.approx(want_canon, rel=1e-12)
+        assert algebra_diagnostic(ctx, n) == (comp[n - 1].real, canon[n - 1].real)
+
+
+def test_multiplier_beyond_double_range_is_out_of_range():
+    # exact logs of the difference lattice at (0.9, 0.5): p^n and q^n
+    # underflow near n = 7073, so the composite ratio there is 0/0
+    n = np.arange(1, 8001, dtype=float)
+    logs = n * np.log(0.9) + np.log1p(-((0.5 / 0.9) ** n))
+    ctx = DeformedContext.from_log_values(difference_kernel(0.9, 0.5), logs)
+    f = TruncatedSeries(np.ones(7501))
+    with pytest.raises(OutOfRange, match="composite multiplier of degree"):
+        r_derivative(ctx, f, MODE_COMPOSITE)
+    assert np.all(np.isfinite(r_derivative(ctx, f, MODE_CANONICAL).coeffs))
+
+    huge = DeformedContext.from_log_values(difference_kernel(1.0, 0.5), [1.0, 800.0])
+    with pytest.raises(OutOfRange, match="degree 2"):
+        r_multiplier_op(huge, TruncatedSeries([0.0, 1.0, 1.0]))
+    with pytest.raises(OutOfRange):
+        algebra_diagnostic(huge, 2)
+
+
+def test_deformed_exponential_beyond_double_range_names_largest_order():
+    ctx = build_context(jagannathan_srinivasa_kernel(0.9, 0.4), 256)
+    with pytest.raises(OutOfRange, match="largest representable order is") as err:
+        deformed_exponential(ctx, 256)
+    largest = int(str(err.value).rsplit(" ", 1)[1])
+    assert 0 < largest < 256
+    e = deformed_exponential(ctx, largest)
+    assert np.all(np.isfinite(e.coeffs))
+    with pytest.raises(OutOfRange):
+        deformed_exponential(ctx, largest + 1)
