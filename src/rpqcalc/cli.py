@@ -380,10 +380,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except RpqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (RpqError, OSError, ValueError) as exc:
+        # ValueError: a file that is not JSON (JSONDecodeError) or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

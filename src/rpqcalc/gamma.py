@@ -49,14 +49,18 @@ _BASE_MODES = (BASE_INTERPOLATED, BASE_INTEGER_ONLY)
 
 @dataclass(frozen=True)
 class GammaConfig:
-    """Evaluation policy for the deformed Gamma over a fixed context."""
+    """Evaluation policy for the deformed Gamma over a fixed context.
+
+    Raises:
+        DomainError: ``base_mode`` is not one of the two base modes.
+    """
 
     context: DeformedContext
     base_mode: str = BASE_INTERPOLATED
 
     def __post_init__(self):
         if self.base_mode not in _BASE_MODES:
-            raise ValueError(
+            raise DomainError(
                 f"base_mode must be one of {_BASE_MODES}, got {self.base_mode!r}"
             )
 

@@ -21,7 +21,7 @@ Builtin kernels:
 ``q``
     The p = 1 specialisation of the previous one: (1 - q^n)/(1 - q).
 Custom kernels are finite Laurent term lists [(s, t, c), ...] meaning
-R(u, v) = sum c * u^s * v^t with integer exponents s, t >= -ell.
+R(u, v) = sum c * u^s * v^t with integer exponents s, t.
 """
 
 from __future__ import annotations
@@ -54,12 +54,9 @@ VANISHING_TOL = 1e-12
 
 def _exponent(value) -> int:
     """A Laurent exponent: an integer, or a float with an integer value."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidKernel(f"Laurent exponent must be an integer, got {value!r}")
+    if int(value) != value:
+        raise InvalidKernel(f"Laurent exponent must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,16 @@ class KernelSpec:
         kind: one of the ``KIND_*`` constants.
         laurent_terms: tuple of (s, t, c) terms for custom kernels, None for
             builtins.
-        ell: maximal negative Laurent order appearing in the terms (0 for
-            builtins); derived, do not pass it.
+
+    Raises:
+        InvalidKernel: unknown kind, or terms that are missing, present for a
+            builtin, or not (integer, integer, real) triples.
     """
 
     p: float
     q: float
     kind: str = KIND_DIFFERENCE
     laurent_terms: tuple[tuple[int, int, float], ...] | None = None
-    ell: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
@@ -87,15 +85,14 @@ class KernelSpec:
         if self.kind == KIND_CUSTOM:
             if self.laurent_terms is None:
                 raise InvalidKernel("custom-laurent kernel requires laurent_terms")
-            terms = tuple(
-                (_exponent(s), _exponent(t), float(c))
-                for (s, t, c) in self.laurent_terms
-            )
+            try:
+                terms = tuple(
+                    (_exponent(s), _exponent(t), float(c))
+                    for (s, t, c) in self.laurent_terms
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidKernel(f"bad laurent term: {exc}") from exc
             object.__setattr__(self, "laurent_terms", terms)
-            ell = 0
-            for s, t, _ in terms:
-                ell = max(ell, -s, -t)
-            object.__setattr__(self, "ell", ell)
         else:
             if self.laurent_terms is not None:
                 raise InvalidKernel("builtin kernels take no laurent_terms")
@@ -124,7 +121,7 @@ def laurent_kernel(
     p: float, q: float, terms: Sequence[tuple[int, int, float]]
 ) -> KernelSpec:
     """Custom kernel from finite Laurent data [(s, t, c), ...]."""
-    return KernelSpec(p=p, q=q, kind=KIND_CUSTOM, laurent_terms=tuple(terms))
+    return KernelSpec(p=p, q=q, kind=KIND_CUSTOM, laurent_terms=terms)
 
 
 def kernel_value(spec: KernelSpec, u: float, v: float) -> float:
@@ -195,9 +192,10 @@ class DeformedContext:
         :func:`build_context` ends here, and synthetic growth profiles in
         diagnostics and tests start here.  The factorials are the ascending
         ``np.cumsum`` of the logs, so ``log_factorials[n]`` equals
-        ``log_factorials[n - 1] + log_numbers[n - 1]`` exactly.
+        ``log_factorials[n - 1] + log_numbers[n - 1]`` exactly.  The logs
+        are copied, so the caller's sequence stays as it was.
         """
-        logs = np.asarray(log_numbers, dtype=float)
+        logs = np.array(log_numbers, dtype=float)
         if logs.ndim != 1 or logs.size < 1:
             raise OutOfRange("log_numbers must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(logs)):
@@ -246,7 +244,8 @@ def bidisk_radius_estimate(spec: KernelSpec) -> tuple[float, float]:
     Builtins are polynomials, so they return (inf, inf).  For a custom kernel
     the estimate is the largest equal pair R1 = R2 = R with
     max over represented total degrees K = s + t != 0 of
-    (|c| * R^K)^(1/K) <= 1, located by bisection.
+    (|c| * R^K)^(1/K) <= 1.  Since (|c| * R^K)^(1/K) = |c|^(1/K) * R, that
+    is R = 1 / max |c|^(1/K) = min |c|^(-1/K).
 
     Raises:
         EmptyKernel: custom kernel whose coefficients are all zero.
@@ -260,26 +259,10 @@ def bidisk_radius_estimate(spec: KernelSpec) -> tuple[float, float]:
     if not degrees:
         # Only total-degree-zero terms: the constraint set is empty.
         return (math.inf, math.inf)
-
-    def admissible(radius: float) -> bool:
-        worst = max(ac ** (1.0 / k) * radius for (k, ac) in degrees)
-        return worst <= 1.0
-
-    lo, hi = 0.0, 1.0
-    while admissible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            return (math.inf, math.inf)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, lo):
-            break
-    return (lo, lo)
+    ks, mags = np.array(degrees, dtype=float).T
+    with np.errstate(over="ignore"):
+        radius = float(np.min(np.power(mags, -1.0 / ks)))
+    return (radius, radius)
 
 
 # --- kernel configuration documents -------------------------------------
@@ -305,13 +288,13 @@ def spec_from_dict(doc: dict) -> KernelSpec:
         p = float(doc["p"])
         q = float(doc["q"])
         kdoc = doc["kernel"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidKernel(f"kernel config missing/invalid field: {exc}") from exc
     if not isinstance(kdoc, dict):
         raise InvalidKernel("'kernel' must be an object")
     if "builtin" in kdoc:
         name = kdoc["builtin"]
-        if name not in _BUILTIN_NAMES:
+        if not isinstance(name, str) or name not in _BUILTIN_NAMES:
             raise InvalidKernel(f"unknown builtin kernel {name!r}")
         return KernelSpec(p=p, q=q, kind=_BUILTIN_NAMES[name])
     if "laurent" in kdoc:
@@ -319,8 +302,8 @@ def spec_from_dict(doc: dict) -> KernelSpec:
         if not isinstance(raw, list):
             raise InvalidKernel("'laurent' must be a list of term objects")
         try:
-            terms = tuple((t["s"], t["t"], float(t["c"])) for t in raw)
-        except (KeyError, TypeError, ValueError) as exc:
+            terms = tuple((t["s"], t["t"], t["c"]) for t in raw)
+        except (KeyError, TypeError) as exc:
             raise InvalidKernel(f"bad laurent term: {exc}") from exc
         return KernelSpec(p=p, q=q, kind=KIND_CUSTOM, laurent_terms=terms)
     raise InvalidKernel("'kernel' needs either 'builtin' or 'laurent'")

@@ -32,9 +32,15 @@ from .errors import (
     WindowTooSmall,
 )
 from .kernel import KIND_DIFFERENCE, DeformedContext
-from .series import MODE_COMPOSITE, TruncatedSeries, _multipliers, circle_points, eval_on_circle
-
-LOG_ZERO = float("-inf")
+from .numbers import LOG_ZERO
+from .series import (
+    MODE_COMPOSITE,
+    TruncatedSeries,
+    _multipliers,
+    _require_order_cached,
+    circle_points,
+    eval_on_circle,
+)
 
 #: tolerances pinned by the acceptance gates
 COEF_BOUND_REL_TOL = 1e-12
@@ -108,13 +114,6 @@ def _log_abs_coeffs(f: TruncatedSeries) -> np.ndarray:
     mags = np.abs(f.coeffs)
     with np.errstate(divide="ignore"):
         return np.log(mags)
-
-
-def _require_order_cached(ctx: DeformedContext, f: TruncatedSeries) -> None:
-    if f.order > ctx.order_cap:
-        raise OutOfRange(
-            f"series order {f.order} exceeds order_cap {ctx.order_cap}"
-        )
 
 
 def log_weighted_norm(ctx: DeformedContext, f: TruncatedSeries, r: float) -> float:
@@ -225,7 +224,7 @@ def cauchy_hadamard_radius(
     identically zero.
     """
     if mode not in RADIUS_MODES:
-        raise ValueError(f"mode must be one of {RADIUS_MODES}, got {mode!r}")
+        raise DomainError(f"mode must be one of {RADIUS_MODES}, got {mode!r}")
     if tail_window < 4:
         raise WindowTooSmall(f"tail_window must be >= 4, got {tail_window}")
     if f.order < tail_window:
@@ -245,9 +244,7 @@ def cauchy_hadamard_radius(
     return math.exp(-float(np.max(exponents)))
 
 
-def seminorm(
-    ctx: DeformedContext, fam: SeminormFamily, m: int, f: TruncatedSeries
-) -> float:
+def seminorm(fam: SeminormFamily, m: int, f: TruncatedSeries) -> float:
     """p_m(f) = max_k |a_k| / (scales[m-1] * exp(rates[m-1] * k^2))."""
     if not 1 <= m <= len(fam):
         raise OutOfRange(f"family index m={m} outside [1, {len(fam)}]")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import DomainError, OutOfRange
 from .kernel import DeformedContext
 
+#: the log of exact zero, shared by every log-domain quantity in the package
 LOG_ZERO = float("-inf")
 
 
@@ -24,6 +25,10 @@ class LogQuantity:
 
     zero_flag is True exactly when the quantity is 0, in which case
     log_value is -inf.
+
+    Raises:
+        DomainError: a zero flag with a finite log, or a nonzero quantity
+            whose log is not finite.
     """
 
     log_value: float
@@ -31,9 +36,9 @@ class LogQuantity:
 
     def __post_init__(self):
         if self.zero_flag and self.log_value != LOG_ZERO:
-            raise ValueError("zero LogQuantity must carry log_value = -inf")
+            raise DomainError("zero LogQuantity must carry log_value = -inf")
         if not self.zero_flag and not math.isfinite(self.log_value):
-            raise ValueError(f"nonzero LogQuantity needs a finite log, got {self.log_value!r}")
+            raise DomainError(f"nonzero LogQuantity needs a finite log, got {self.log_value!r}")
 
     @classmethod
     def zero(cls) -> "LogQuantity":

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import DeformedContext
 from .norms import BoundCheckReport
-from .series import TruncatedSeries, eval_series
+from .series import TruncatedSeries
 
 MODE_PER_INDEX = "per-index"
 MODE_SUP = "sup"
@@ -115,19 +115,14 @@ def tail_log_rate(ctx: DeformedContext) -> float:
         return beta
 
 
-def _pseudonorm_given_tail(ctx: DeformedContext, z: complex, tail: float) -> float:
+def deformed_pseudonorm(ctx: DeformedContext, z: complex) -> float:
+    """||z|| as defined in the module docstring; exactly 0.0 at z = 0."""
+    tail = math.exp(-tail_log_rate(ctx))
     mag = abs(z)
     if mag == 0.0:
         return 0.0
-    log_mag = math.log(mag)
     ns = np.arange(1, ctx.order_cap + 1, dtype=float)
-    lattice_part = float(np.max(np.exp((log_mag - ctx.log_numbers) / ns)))
-    return max(lattice_part, tail)
-
-
-def deformed_pseudonorm(ctx: DeformedContext, z: complex) -> float:
-    """||z|| as defined in the module docstring; exactly 0.0 at z = 0."""
-    return _pseudonorm_given_tail(ctx, z, math.exp(-tail_log_rate(ctx)))
+    return max(float(np.max(np.exp((math.log(mag) - ctx.log_numbers) / ns))), tail)
 
 
 def in_deformed_disc(ctx: DeformedContext, z: complex, radius: float) -> bool:
@@ -223,13 +218,8 @@ def borel_caratheodory_check(
     )
 
 
-def _rho_values(ctx: DeformedContext) -> np.ndarray:
-    ns = np.arange(1, ctx.order_cap + 1, dtype=float)
-    return ctx.log_numbers / ns
-
-
 def _sup_rho(ctx: DeformedContext) -> float:
-    return float(np.max(_rho_values(ctx)))
+    return float(np.max(ctx.log_numbers / np.arange(1, ctx.order_cap + 1, dtype=float)))
 
 
 def sector_membership(ctx: DeformedContext, spec: SectorSpec, z: complex) -> bool:

@@ -31,6 +31,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateParameters,
+    DomainError,
     NotInSubspace,
     OutOfRange,
     ParameterDomain,
@@ -47,17 +48,24 @@ CONSTANT_TERM_TOL = 1e-14
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Finite power series sum a_n z^n, coefficients ascending in n."""
+    """Finite power series sum a_n z^n, coefficients ascending in n.
+
+    Raises:
+        DomainError: coefficients that are not a non-empty 1-D vector of
+            finite complex numbers.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
+        try:
+            arr = np.array(self.coeffs, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"coefficients must be complex numbers: {exc}") from exc
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("coefficients must form a non-empty 1-D vector")
+            raise DomainError("coefficients must form a non-empty 1-D vector")
         if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("coefficients must be finite")
-        arr = arr.copy()
+            raise DomainError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -89,10 +97,16 @@ class TruncatedSeries:
 
 
 def series_from_pairs(pairs: Sequence[Sequence[float]]) -> TruncatedSeries:
-    """Build a series from the interchange format: [[re, im], ...] by degree."""
-    if len(pairs) == 0:
-        raise ValueError("series document must contain at least one coefficient")
-    coeffs = np.array([complex(float(re), float(im)) for re, im in pairs])
+    """Build a series from the interchange format: [[re, im], ...] by degree.
+
+    Raises:
+        DomainError: ``pairs`` is empty or not a sequence of [re, im] pairs
+            of finite reals.
+    """
+    try:
+        coeffs = [complex(float(re), float(im)) for re, im in pairs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"series must be a list of [re, im] pairs: {exc}") from exc
     return TruncatedSeries(coeffs)
 
 
@@ -124,6 +138,11 @@ def scale_op(f: TruncatedSeries, base: float) -> TruncatedSeries:
         raise ParameterDomain(f"scale base must lie in (0, 1], got {base!r}")
     factors = np.power(base, np.arange(f.coeffs.size, dtype=float))
     return TruncatedSeries(f.coeffs * factors)
+
+
+def _require_order_cached(ctx: DeformedContext, f: TruncatedSeries) -> None:
+    if f.order > ctx.order_cap:
+        raise OutOfRange(f"series order {f.order} exceeds order_cap {ctx.order_cap}")
 
 
 def _power_gaps(p: float, q: float, order: int) -> np.ndarray:
@@ -169,11 +188,8 @@ def r_derivative(
 ) -> TruncatedSeries:
     """Kernel derivative of a truncated series; see module docstring for modes."""
     if mode not in DERIVATIVE_MODES:
-        raise ValueError(f"mode must be one of {DERIVATIVE_MODES}, got {mode!r}")
-    if f.order > ctx.order_cap:
-        raise OutOfRange(
-            f"series order {f.order} exceeds order_cap {ctx.order_cap}"
-        )
+        raise DomainError(f"mode must be one of {DERIVATIVE_MODES}, got {mode!r}")
+    _require_order_cached(ctx, f)
     if f.order == 0:
         return TruncatedSeries(np.zeros(1, dtype=complex))
     return TruncatedSeries(f.coeffs[1:] * _multipliers(ctx, f.order, mode))
@@ -202,10 +218,7 @@ def invert_P_minus_Q(
 
 def r_multiplier_op(ctx: DeformedContext, f: TruncatedSeries) -> TruncatedSeries:
     """Diagonal map z^n -> [n] z^n; the constant term is annihilated exactly."""
-    if f.order > ctx.order_cap:
-        raise OutOfRange(
-            f"series order {f.order} exceeds order_cap {ctx.order_cap}"
-        )
+    _require_order_cached(ctx, f)
     out = np.zeros(f.coeffs.size, dtype=complex)
     out[1:] = f.coeffs[1:] * _multipliers(ctx, f.order, MODE_CANONICAL)
     return TruncatedSeries(out)

@@ -375,6 +375,54 @@ def test_config_errors_exit_two(workdir, capsys):
     assert code == EXIT_USAGE
 
 
+#: every subcommand's own arguments, and whether it reads a series file
+SUBCOMMAND_ARGS = {
+    "numbers": (["--n", "1..4"], False),
+    "gamma": (["--x", "2.5"], False),
+    "stirling": (["--slope", "1", "--offset", "1", "--k-window", "1..8"], False),
+    "fit": (["--window", "20..60"], False),
+    "derive": ([], True),
+    "radius": (["--window", "4"], True),
+    "norm": (["--r", "0.5"], True),
+    "check-coef": (["--r", "1.0"], True),
+    "check-sup": (["--r", "1.0", "--rho", "0.5"], True),
+    "check-opnorm": (["--r", "0.4", "--rho", "0.8", "--trials", "2", "--order", "4"], False),
+    "check-bc": (["--outer", "3.0", "--inner", "2.0", "--samples", "4"], True),
+    "check-pl": (["--mode", "fixed-omega", "--omega", "2", "--env-scale", "1",
+                  "--env-rate", "1", "--env-exponent", "1", "--max-radius", "1.0"], True),
+    "sector": (["--z", "1+0j"], False),
+    "pseudonorm": (["--z", "1+0j"], False),
+}
+MALFORMED_KERNEL = {"p": 1.0, "q": 0.5, "kernel": {"builtin": []}}
+MALFORMED_SERIES = ([[1, None]], [1, 2], 5)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_malformed_documents_exit_two(workdir, capsys, command):
+    args, reads_series = SUBCOMMAND_ARGS[command]
+
+    def argv(kernel, series):
+        extra = ["--series", series] if reads_series else []
+        return [command, "--kernel", kernel, *extra, *args]
+
+    # the well-formed documents are accepted, so exit 2 below is the documents'
+    code, _, err = run_cli(capsys, argv(workdir["diff"], workdir["ones"]))
+    assert code != EXIT_USAGE, err
+
+    bad_kernel = workdir["tmp"] / "malformed-kernel.json"
+    bad_kernel.write_text(json.dumps(MALFORMED_KERNEL))
+    code, out, err = run_cli(capsys, argv(str(bad_kernel), workdir["ones"]))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+    if reads_series:
+        for i, doc in enumerate(MALFORMED_SERIES):
+            bad_series = workdir["tmp"] / f"malformed-series-{i}.json"
+            bad_series.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, argv(workdir["diff"], str(bad_series)))
+            assert (code, out) == (EXIT_USAGE, ""), doc
+            assert err.startswith("error: ")
+
+
 def test_repeat_runs_are_byte_identical(workdir, capsys):
     argv = ["check-opnorm", "--kernel", workdir["diff"], "--r", "0.4",
             "--rho", "0.8", "--trials", "10", "--order", "8",

@@ -91,7 +91,7 @@ def test_domain_and_cache_errors():
             gamma_log(cfg, bad)
     with pytest.raises(OutOfRange):
         gamma_log(cfg, 10.0)  # needs [9]! beyond the cap-8 cache
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         GammaConfig(ctx, base_mode="nope")
 
 

@@ -174,6 +174,15 @@ def test_from_log_values_matches_build_recurrence():
         )
 
 
+def test_from_log_values_leaves_caller_array_writable():
+    logs = np.array([0.1, 0.2, 0.3])
+    ctx = DeformedContext.from_log_values(difference_kernel(1.0, 0.5), logs)
+    assert logs.flags.writeable
+    assert np.array_equal(logs, [0.1, 0.2, 0.3])
+    logs[0] = 1.0
+    assert ctx.log_numbers[0] == 0.1
+
+
 def test_bidisk_estimate_builtins_are_entire():
     assert bidisk_radius_estimate(difference_kernel(1.0, 0.5)) == (
         math.inf,
@@ -199,6 +208,39 @@ def test_bidisk_estimate_single_term_and_scaling():
     # negative total degree: (|c| R^K)^(1/K) = |c|^(1/K) R with K = -1
     inv = laurent_kernel(0.8, 0.5, [(-1, 0, 1.0), (0, 1, -1.0)])
     assert bidisk_radius_estimate(inv)[0] == pytest.approx(1.0, rel=1e-9)
+
+    # |c|^(1/K) is beyond double range here, but the radius |c| is not
+    tiny = laurent_kernel(0.8, 0.5, [(-1, 0, 5e-324), (0, 1, -1.0)])
+    assert bidisk_radius_estimate(tiny) == (5e-324, 5e-324)
+
+
+def test_bidisk_estimate_matches_mpmath_closed_form():
+    import mpmath
+
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        count = int(rng.integers(1, 6))
+        terms = [
+            (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)),
+             float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)))
+            for _ in range(count)
+        ]
+        if all(s + t == 0 for s, t, _ in terms):
+            terms.append((1, 0, 1.0))
+        r1, r2 = bidisk_radius_estimate(laurent_kernel(0.9, 0.5, terms))
+        with mpmath.workdps(40):
+            exact = 1 / max(
+                mpmath.power(abs(mpmath.mpf(c)), mpmath.mpf(1) / (s + t))
+                for s, t, c in terms
+                if s + t != 0
+            )
+        assert r1 == r2
+        assert abs(r1 - exact) <= 1e-15 * exact
+
+
+def test_bidisk_estimate_degree_zero_terms_only():
+    spec = laurent_kernel(0.9, 0.5, [(1, -1, 2.0), (0, 0, -1.0)])
+    assert bidisk_radius_estimate(spec) == (math.inf, math.inf)
 
 
 def test_bidisk_estimate_empty_kernel():
@@ -235,6 +277,9 @@ def test_config_document_roundtrip():
         {"p": 1.0, "q": 0.5},
         {"p": 1.0, "q": 0.5, "kernel": {}},
         {"p": 1.0, "q": 0.5, "kernel": {"builtin": "unknown"}},
+        {"p": 1.0, "q": 0.5, "kernel": {"builtin": []}},
+        {"p": 10**400, "q": 0.5, "kernel": {"builtin": "difference"}},
+        {"p": 0.8, "q": 0.5, "kernel": {"laurent": [{"s": 1, "t": 0, "c": [1.0]}]}},
         {"p": 1.0, "q": 0.5, "kernel": {"laurent": [{"s": 1}]}},
         {"p": 0.8, "q": 0.5, "kernel": {"laurent": [{"s": -1.5, "t": 0, "c": 1.0}]}},
         "not a mapping",
@@ -249,6 +294,9 @@ def test_laurent_exponents_must_be_integers():
     doc = {"p": 0.8, "q": 0.5, "kernel": {"laurent": [
         {"s": -1.0, "t": 0, "c": 1.0}, {"s": 0, "t": 1, "c": -1.0}]}}
     assert spec_from_dict(doc).laurent_terms == ((-1, 0, 1.0), (0, 1, -1.0))
-    for bad in (0.5, float("nan"), float("inf"), "x"):
+    for bad in (0.5, float("nan"), float("inf"), "x", None):
         with pytest.raises(InvalidKernel):
             laurent_kernel(0.8, 0.5, [(1, bad, 1.0)])
+    for bad_terms in ([(1, 0)], [(1, 0, "x")], [(1, 0, 10**400)], 5):
+        with pytest.raises(InvalidKernel):
+            laurent_kernel(0.8, 0.5, bad_terms)

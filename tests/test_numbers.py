@@ -59,6 +59,13 @@ class TestLogQuantity:
         assert LogQuantity.from_log(710.0).value() == math.inf
         assert LogQuantity.from_log(709.0).value() == math.exp(709.0)
 
+    def test_invalid_logs_are_domain_errors(self):
+        for log_value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DomainError):
+                LogQuantity(log_value)
+        with pytest.raises(DomainError):
+            LogQuantity(0.0, zero_flag=True)
+
     def test_division_by_zero_raises(self):
         a = LogQuantity.from_value(2.0)
         with pytest.raises(DomainError):

@@ -32,6 +32,7 @@ from rpqcalc import (
 )
 from rpqcalc.errors import (
     DegenerateParameters,
+    DomainError,
     NotInSubspace,
     OutOfRange,
     ParameterDomain,
@@ -56,10 +57,9 @@ def test_series_basics_and_arithmetic():
     assert np.array_equal(d.coeffs, np.array([0.5, 3.0, 3.0], dtype=complex))
     s = f * 2.0
     assert np.array_equal(s.coeffs, np.array([2.0, 4.0, 6.0], dtype=complex))
-    with pytest.raises(ValueError):
-        TruncatedSeries([float("nan"), 1.0])
-    with pytest.raises(ValueError):
-        TruncatedSeries(np.ones((2, 2)))
+    for bad in ([float("nan"), 1.0], np.ones((2, 2)), [], ["x"]):
+        with pytest.raises(DomainError):
+            TruncatedSeries(bad)
 
 
 def test_pairs_roundtrip():
@@ -67,6 +67,18 @@ def test_pairs_roundtrip():
     pairs = series_to_pairs(f)
     assert pairs == [[1.0, 2.0], [0.0, 0.0], [0.0, -0.5]]
     assert np.array_equal(series_from_pairs(pairs).coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("doc", [[], [[1, None]], [1, 2], 5, [[1, 2, 3]], [[1e400, 0]]])
+def test_pairs_reject_malformed_documents(doc):
+    with pytest.raises(DomainError):
+        series_from_pairs(doc)
+
+
+def test_r_derivative_rejects_unknown_mode():
+    ctx = build_context(difference_kernel(1.0, 0.5), 8)
+    with pytest.raises(DomainError):
+        r_derivative(ctx, TruncatedSeries([1.0, 2.0]), "nope")
 
 
 def test_eval_series_matches_direct_sum():
