@@ -17,6 +17,19 @@ double are exact, evaluating the recurrence at x and x + 1 cancels term by
 term, which is what makes the residual of ``recurrence_check`` sit at
 rounding level rather than interpolation level.
 
+Points that share a fractional part d share their terms: log Gamma(n + d) is
+d * log R(p, q) plus the first n - 1 entries of one table
+log R(p^(d+j), q^(d+j)), j = 1, 2, ...  Within one call the points are grouped
+by their exact d and each group's table is evaluated once, up to the group's
+largest floor.  Floor and frac of a double are exact, so every point still
+sends the same floats to the same ``math.fsum`` as it would alone: sharing
+changes no bit, only how often the kernel is evaluated.  A Stirling window at
+slope 1 has few distinct d (z_k = k + offset keeps one d per binade), so its
+cost falls from about K^2/2 kernel evaluations to a few K.
+``recurrence_check`` shares too: unless x + 1.0 rounds, x and x + 1 have the
+same d, and x + 1's terms run to j = n with d + n == x exactly, so one table
+holds log Gamma(x + 1), log Gamma(x) and log R(p^x, q^x).
+
 The Stirling-type diagnostic reports the residual sequence
 
     D_k = gamma_log(z_k) - [(z_k - 1/2) * log R(p^k, q^k) - z_k]
@@ -76,47 +89,96 @@ def _log_shifted(cfg: GammaConfig, x: float) -> float:
     return math.log(val)
 
 
+def _real(value, name: str) -> float:
+    """``float(value)``, with a non-real value reported as a DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(
+            f"{name} must be a real number in double range, got {value!r}"
+        ) from None
+
+
+def _gamma_logs(
+    cfg: GammaConfig, xs: list[float]
+) -> tuple[list[float], dict[float, list[float]]]:
+    """log Gamma at each x of ``xs``, as ``gamma_log`` defines it.
+
+    Integer points read the factorial cache.  Non-integer points are grouped
+    by their exact fractional part d, and each group's shifted-lattice terms
+    are evaluated once and shared (see the module docstring).  Returns the
+    values and each group's terms: ``tables[d][j - 1]`` is
+    ``_log_shifted(cfg, d + j)`` for j below the group's largest floor.
+
+    Raises:
+        As ``gamma_log`` at each x.  Every x is checked before any term is
+        evaluated, so where several x fail, the error reported may name a
+        different x than one ``gamma_log`` call per x, in order, would.
+    """
+    out = [0.0] * len(xs)
+    groups: dict[float, list[tuple[int, int]]] = {}
+    for i, x in enumerate(xs):
+        if not math.isfinite(x) or x <= 0.0:
+            raise DomainError(f"gamma_log needs finite x > 0, got {x!r}")
+        n = math.floor(x)
+        if x == n:
+            # Integer point: the cache is the definition.
+            if n - 1 > cfg.context.order_cap:
+                raise OutOfRange(
+                    f"gamma_log({x}) needs factorial {n - 1} beyond cache "
+                    f"(order_cap={cfg.context.order_cap})"
+                )
+            out[i] = cfg.context.log_factorial(n - 1)
+        elif cfg.base_mode == BASE_INTEGER_ONLY:
+            raise NonIntegerUnsupported(
+                f"x={x!r} is not an integer and base_mode is integer-only"
+            )
+        else:
+            # exact: n = floor(x), so the subtraction loses no bits
+            groups.setdefault(x - n, []).append((i, n))
+
+    log_one = cfg.context.log_number(1)
+    tables = {}
+    for delta, members in groups.items():
+        base = delta * log_one
+        top = max(n for _, n in members)
+        terms = tables[delta] = [_log_shifted(cfg, delta + j) for j in range(1, top)]
+        for i, n in members:
+            if n == 0:
+                # One downward recurrence step from the [1, 2) base.
+                out[i] = base - _log_shifted(cfg, delta)
+            else:
+                out[i] = math.fsum([base] + terms[: n - 1])
+    return out, tables
+
+
 def gamma_log(cfg: GammaConfig, x: float) -> float:
     """log of the deformed Gamma at real x > 0.
 
     Raises:
-        DomainError: x <= 0 or not finite.
+        DomainError: x is not a real number, or x <= 0, or not finite.
         NonIntegerUnsupported: non-integer x in integer-only base mode.
         OutOfRange: integer x beyond the factorial cache.
         NonPositiveShiftedLattice: a required shifted lattice value is <= 0.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_log needs finite x > 0, got {x!r}")
-
-    n = math.floor(x)
-    if x == n:
-        # Integer point: the cache is the definition.
-        if n - 1 > cfg.context.order_cap:
-            raise OutOfRange(
-                f"gamma_log({x}) needs factorial {n - 1} beyond cache "
-                f"(order_cap={cfg.context.order_cap})"
-            )
-        return cfg.context.log_factorial(n - 1)
-
-    if cfg.base_mode == BASE_INTEGER_ONLY:
-        raise NonIntegerUnsupported(
-            f"x={x!r} is not an integer and base_mode is integer-only"
-        )
-
-    delta = x - n  # exact: n = floor(x), so the subtraction loses no bits
-    base = delta * cfg.context.log_number(1)
-    if n == 0:
-        # One downward recurrence step from the [1, 2) base.
-        return base - _log_shifted(cfg, delta)
-    terms = [_log_shifted(cfg, delta + j) for j in range(1, n)]
-    return math.fsum([base] + terms)
+    return _gamma_logs(cfg, [_real(x, "x")])[0][0]
 
 
 def recurrence_check(cfg: GammaConfig, x: float) -> float:
-    """|gamma_log(x + 1) - gamma_log(x) - log R(p^x, q^x)| at x > 0."""
-    lhs = gamma_log(cfg, x + 1.0) - gamma_log(cfg, x)
-    return abs(lhs - _log_shifted(cfg, x))
+    """|gamma_log(x + 1) - gamma_log(x) - log R(p^x, q^x)| at x > 0.
+
+    Raises:
+        DomainError: x is not a real number, or x <= 0, or not finite.
+        Otherwise as ``gamma_log`` at x + 1 and at x.
+    """
+    x = _real(x, "x")
+    (above, at), tables = _gamma_logs(cfg, [x + 1.0, x])
+    n = math.floor(x)
+    # Unless x + 1.0 rounded, x + 1 shares x's group and its terms run to
+    # j = n, where d + n == x exactly: that term is log R(p^x, q^x).
+    terms = tables.get(x - n, ())
+    log_shifted = terms[n - 1] if len(terms) >= n > 0 else _log_shifted(cfg, x)
+    return abs(above - at - log_shifted)
 
 
 @dataclass(frozen=True)
@@ -134,6 +196,7 @@ class StirlingDiagnostic:
     stabilized: bool
     c_estimate: float
     gamma_logs: np.ndarray
+    log_c_estimate: float
 
 
 #: relative flatness threshold for declaring the residual sequence stabilised
@@ -146,10 +209,17 @@ def stirling_diagnostic(
     """Evaluate D_k = gamma_log(z_k) - [(z_k - 1/2) log R(p^k, q^k) - z_k].
 
     The sequence is declared stabilised when, over the upper half of the
-    window, max(D) - min(D) <= 0.05 * (max |D| + 1); ``c_estimate`` is
-    exp(mean D) over that same upper half.  A window of length 1 is
-    trivially stabilised.
+    window, max(D) - min(D) <= 0.05 * (max |D| + 1); ``log_c_estimate`` is
+    mean D over that same upper half and ``c_estimate`` its exp, which may
+    overflow to inf or underflow to 0 where ``log_c_estimate`` stays finite.
+    A window of length 1 is trivially stabilised.
+
+    Raises:
+        DomainError: slope or offset is not a real number, or not positive.
+        OutOfRange: the window is empty or outside [1, order_cap].
+        Otherwise as ``gamma_log`` at each z_k.
     """
+    slope, offset = _real(slope, "slope"), _real(offset, "offset")
     if slope <= 0.0 or offset <= 0.0:
         raise DomainError(
             f"drift parameters must be positive, got slope={slope!r}, offset={offset!r}"
@@ -163,23 +233,26 @@ def stirling_diagnostic(
         )
 
     z = slope * np.arange(k_lo, k_hi + 1, dtype=float) + offset
-    gamma_logs = np.array([gamma_log(cfg, z_k) for z_k in z])
+    gamma_logs = np.array(_gamma_logs(cfg, z.tolist())[0])
     residuals = gamma_logs - ((z - 0.5) * cfg.context.log_numbers[k_lo - 1 : k_hi] - z)
 
     upper = residuals[residuals.size // 2 :]
     spread = float(np.max(upper) - np.min(upper))
     scale = float(np.max(np.abs(upper))) + 1.0
     stabilized = spread <= STABILIZATION_FRACTION * scale
-    c_estimate = float(np.exp(np.mean(upper)))
+    log_c_estimate = np.mean(upper)
+    with np.errstate(over="ignore"):
+        c_estimate = float(np.exp(log_c_estimate))
 
     residuals.setflags(write=False)
     gamma_logs.setflags(write=False)
     return StirlingDiagnostic(
-        slope=float(slope),
-        offset=float(offset),
+        slope=slope,
+        offset=offset,
         k_window=(k_lo, k_hi),
         residuals=residuals,
         stabilized=stabilized,
         c_estimate=c_estimate,
         gamma_logs=gamma_logs,
+        log_c_estimate=float(log_c_estimate),
     )
