@@ -26,9 +26,6 @@ sends the same floats to the same ``math.fsum`` as it would alone: sharing
 changes no bit, only how often the kernel is evaluated.  A Stirling window at
 slope 1 has few distinct d (z_k = k + offset keeps one d per binade), so its
 cost falls from about K^2/2 kernel evaluations to a few K.
-``recurrence_check`` shares too: unless x + 1.0 rounds, x and x + 1 have the
-same d, and x + 1's terms run to j = n with d + n == x exactly, so one table
-holds log Gamma(x + 1), log Gamma(x) and log R(p^x, q^x).
 
 The Stirling-type diagnostic reports the residual sequence
 
@@ -99,16 +96,12 @@ def _real(value, name: str) -> float:
         ) from None
 
 
-def _gamma_logs(
-    cfg: GammaConfig, xs: list[float]
-) -> tuple[list[float], dict[float, list[float]]]:
+def _gamma_logs(cfg: GammaConfig, xs: list[float]) -> list[float]:
     """log Gamma at each x of ``xs``, as ``gamma_log`` defines it.
 
     Integer points read the factorial cache.  Non-integer points are grouped
     by their exact fractional part d, and each group's shifted-lattice terms
-    are evaluated once and shared (see the module docstring).  Returns the
-    values and each group's terms: ``tables[d][j - 1]`` is
-    ``_log_shifted(cfg, d + j)`` for j below the group's largest floor.
+    are evaluated once and shared (see the module docstring).
 
     Raises:
         As ``gamma_log`` at each x.  Every x is checked before any term is
@@ -138,18 +131,17 @@ def _gamma_logs(
             groups.setdefault(x - n, []).append((i, n))
 
     log_one = cfg.context.log_number(1)
-    tables = {}
     for delta, members in groups.items():
         base = delta * log_one
         top = max(n for _, n in members)
-        terms = tables[delta] = [_log_shifted(cfg, delta + j) for j in range(1, top)]
+        terms = [_log_shifted(cfg, delta + j) for j in range(1, top)]
         for i, n in members:
             if n == 0:
                 # One downward recurrence step from the [1, 2) base.
                 out[i] = base - _log_shifted(cfg, delta)
             else:
                 out[i] = math.fsum([base] + terms[: n - 1])
-    return out, tables
+    return out
 
 
 def gamma_log(cfg: GammaConfig, x: float) -> float:
@@ -161,7 +153,7 @@ def gamma_log(cfg: GammaConfig, x: float) -> float:
         OutOfRange: integer x beyond the factorial cache.
         NonPositiveShiftedLattice: a required shifted lattice value is <= 0.
     """
-    return _gamma_logs(cfg, [_real(x, "x")])[0][0]
+    return _gamma_logs(cfg, [_real(x, "x")])[0]
 
 
 def recurrence_check(cfg: GammaConfig, x: float) -> float:
@@ -172,13 +164,8 @@ def recurrence_check(cfg: GammaConfig, x: float) -> float:
         Otherwise as ``gamma_log`` at x + 1 and at x.
     """
     x = _real(x, "x")
-    (above, at), tables = _gamma_logs(cfg, [x + 1.0, x])
-    n = math.floor(x)
-    # Unless x + 1.0 rounded, x + 1 shares x's group and its terms run to
-    # j = n, where d + n == x exactly: that term is log R(p^x, q^x).
-    terms = tables.get(x - n, ())
-    log_shifted = terms[n - 1] if len(terms) >= n > 0 else _log_shifted(cfg, x)
-    return abs(above - at - log_shifted)
+    above, at = _gamma_logs(cfg, [x + 1.0, x])
+    return abs(above - at - _log_shifted(cfg, x))
 
 
 @dataclass(frozen=True)
@@ -233,7 +220,7 @@ def stirling_diagnostic(
         )
 
     z = slope * np.arange(k_lo, k_hi + 1, dtype=float) + offset
-    gamma_logs = np.array(_gamma_logs(cfg, z.tolist())[0])
+    gamma_logs = np.array(_gamma_logs(cfg, z.tolist()))
     residuals = gamma_logs - ((z - 0.5) * cfg.context.log_numbers[k_lo - 1 : k_hi] - z)
 
     upper = residuals[residuals.size // 2 :]
